@@ -11,6 +11,8 @@ exactly rather than sampled.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from typing import Optional
 
 from repro.errors import AnalysisError
@@ -93,6 +95,11 @@ class BusyTracker:
     ``busy_slots dt`` so that utilisation over any interval is exact.
     Separate trackers are kept per "kind" of work by the CPU model
     (user time vs iowait).
+
+    Every acquire/release appends a ``(time, cumulative busy-seconds)``
+    checkpoint.  The checkpoints are packed into two ``array("d")``
+    buffers: there are two per CPU slice, and the monotonicity check
+    in acquire/release already covers them.
     """
 
     def __init__(self, slots: int, name: str = "") -> None:
@@ -103,36 +110,46 @@ class BusyTracker:
         self._busy = 0
         self._last_change = 0.0
         self._accumulated = 0.0
-        #: (time, cumulative busy-seconds) checkpoints for series queries.
-        self._checkpoints = TimeSeries(name + ".busy")
-        self._checkpoints.append(0.0, 0.0)
+        #: Checkpoint times and the cumulative busy-seconds at each.
+        self._times = array("d", (0.0,))
+        self._values = array("d", (0.0,))
 
     @property
     def busy_slots(self) -> int:
         return self._busy
 
-    def _advance(self, now: float) -> None:
-        if now < self._last_change:
-            raise AnalysisError("time went backwards in BusyTracker")
-        self._accumulated += self._busy * (now - self._last_change)
-        self._last_change = now
-
+    # acquire() and release() advance the integral inline: they run
+    # twice per CPU slice.
     def acquire(self, now: float, count: int = 1) -> None:
         """Mark ``count`` more slots busy from ``now`` on."""
-        self._advance(now)
-        self._busy += count
-        if self._busy > self.slots:
+        last = self._last_change
+        if now < last:
+            raise AnalysisError("time went backwards in BusyTracker")
+        busy = self._busy
+        self._accumulated = accumulated = (
+            self._accumulated + busy * (now - last))
+        self._last_change = now
+        self._busy = busy = busy + count
+        if busy > self.slots:
             raise AnalysisError(
-                "{} slots busy but only {} exist".format(self._busy, self.slots))
-        self._checkpoints.append(now, self._accumulated)
+                "{} slots busy but only {} exist".format(busy, self.slots))
+        self._times.append(now)
+        self._values.append(accumulated)
 
     def release(self, now: float, count: int = 1) -> None:
         """Mark ``count`` slots idle from ``now`` on."""
-        self._advance(now)
-        self._busy -= count
-        if self._busy < 0:
+        last = self._last_change
+        if now < last:
+            raise AnalysisError("time went backwards in BusyTracker")
+        busy = self._busy
+        self._accumulated = accumulated = (
+            self._accumulated + busy * (now - last))
+        self._last_change = now
+        self._busy = busy = busy - count
+        if busy < 0:
             raise AnalysisError("released more slots than acquired")
-        self._checkpoints.append(now, self._accumulated)
+        self._times.append(now)
+        self._values.append(accumulated)
 
     def busy_seconds(self, now: float) -> float:
         """Cumulative busy slot-seconds up to ``now``."""
@@ -154,9 +171,8 @@ class BusyTracker:
         # Interpolate between checkpoints: busy level is constant between
         # consecutive checkpoints, so linear interpolation of the
         # cumulative integral is exact.
-        times = self._checkpoints.times
-        values = self._checkpoints.values
-        from bisect import bisect_right
+        times = self._times
+        values = self._values
         index = bisect_right(times, time) - 1
         if index < 0:
             return 0.0

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.metrics.windows import BusyTracker
 from repro.metrics.timeseries import TimeSeries
+from repro.sim.events import _PENDING
 from repro.sim.resources import PriorityResource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,13 +53,27 @@ class Cpu:
         """
         if cpu_seconds < 0:
             raise ValueError("negative CPU demand")
-        with self._slots.request(priority=FOREGROUND_PRIORITY) as grant:
+        # Hot path (one slice per request per tier visit): attributes
+        # are bound once, the clock is read directly, and the request's
+        # ``with`` block is spelled out as try/finally.
+        env = self.env
+        user = self.user
+        slots = self._slots
+        grant = slots.request(FOREGROUND_PRIORITY)
+        try:
             yield grant
-            self.user.acquire(self.env.now)
+            user.acquire(env._now)
             try:
-                yield self.env.timeout(cpu_seconds)
+                yield env.timeout(cpu_seconds)
             finally:
-                self.user.release(self.env.now)
+                user.release(env._now)
+        finally:
+            # Request.__exit__: give back a granted core, or withdraw
+            # from the run queue if interrupted while still waiting.
+            if grant._value is not _PENDING:
+                slots.release(grant)
+            else:
+                slots._withdraw(grant)
 
     def stall(self, duration: float):
         """Process generator: hold *all* cores in iowait for ``duration``.

@@ -18,11 +18,13 @@ once per run:
     Edges between qualified names, built with deliberately simple
     resolution: bare names resolve through module scope and imports,
     ``self.x()``/``cls.x()`` through the enclosing class and its
-    project-local bases, and ``obj.x()`` by method name against every
-    project class that defines ``x`` (a conservative union — for the
-    passes built on top, a spurious edge means at worst a spurious
-    *suppressable* finding, while a missing edge is a silent false
-    negative).
+    project-local bases, and ``self.attr.x()`` (or ``x()`` on a local
+    bound to ``self.attr``) through the project classes ``self.attr``
+    is constructed from.  Any other ``obj.x()`` resolves by method name
+    against every project class that defines ``x`` (a conservative
+    union — for the passes built on top, a spurious edge means at worst
+    a spurious *suppressable* finding, while a missing edge is a silent
+    false negative).
 
 Nothing here executes project code; it is all :mod:`ast`.
 """
@@ -193,6 +195,11 @@ class CallGraph:
                     self.functions[fn.qname] = fn
                     self._methods_by_name.setdefault(
                         fn.name, []).append(fn)
+        #: "module::Class" -> {attr: classes it is built from, or None}.
+        self._attr_types: dict[str, dict[str, Optional[list[ClassInfo]]]] \
+            = {}
+        #: function node -> {local: the ``self`` attribute it aliases}.
+        self._self_aliases: dict[ast.AST, dict[str, str]] = {}
         self.edges: dict[str, set[str]] = {}
         self.redges: dict[str, set[str]] = {}
         self.sites: list[CallSite] = []
@@ -213,15 +220,20 @@ class CallGraph:
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
-            for callee in self.resolve_call(node, module, cls):
+            for callee in self.resolve_call(node, module, cls, fn.node):
                 self.edges.setdefault(fn.qname, set()).add(callee.qname)
                 self.redges.setdefault(callee.qname, set()).add(fn.qname)
                 self.sites.append(CallSite(fn.qname, callee.qname, node))
 
     def resolve_call(self, node: ast.Call, module: ModuleInfo,
-                     cls: Optional[ClassInfo] = None
+                     cls: Optional[ClassInfo] = None,
+                     scope: Optional[ast.AST] = None
                      ) -> list[FunctionInfo]:
-        """Project-local targets a call may reach (possibly several)."""
+        """Project-local targets a call may reach (possibly several).
+
+        ``scope`` is the function the call sits in; it lets a local
+        bound to ``self.attr`` resolve like ``self.attr`` itself.
+        """
         func = node.func
         if isinstance(func, ast.Name):
             return self._resolve_name(func.id, module)
@@ -232,6 +244,11 @@ class CallGraph:
                 if target is not None:
                     return [target]
                 return []
+            types = self._receiver_types(func.value, cls, scope)
+            if types is not None:
+                targets = (self._resolve_method(klass, func.attr)
+                           for klass in types)
+                return [target for target in targets if target is not None]
             if receiver is not None:
                 # module-qualified: ``topology.build_system(...)``.
                 dotted = module.imports.get(receiver.split(".", 1)[0])
@@ -248,6 +265,144 @@ class CallGraph:
             # ``obj.method(...)``: union over same-named project methods.
             return list(self._methods_by_name.get(func.attr, []))
         return []
+
+    def _receiver_types(self, receiver: ast.AST, cls: Optional[ClassInfo],
+                        scope: Optional[ast.AST]
+                        ) -> Optional[list[ClassInfo]]:
+        """Project classes ``receiver`` is an instance of, when known.
+
+        Known only for ``self.attr`` and for a local bound to
+        ``self.attr`` inside a method; ``None`` means "no type known".
+        """
+        if cls is None:
+            return None
+        if isinstance(receiver, ast.Name) and scope is not None:
+            attr = self._aliases_in(scope).get(receiver.id)
+        elif isinstance(receiver, ast.Attribute) \
+                and isinstance(receiver.value, ast.Name) \
+                and receiver.value.id == "self":
+            attr = receiver.attr
+        else:
+            return None
+        if attr is None:
+            return None
+        return self._attribute_types(cls).get(attr)
+
+    def _aliases_in(self, scope: ast.AST) -> dict[str, str]:
+        """Locals of ``scope`` whose every binding is ``x = self.attr``."""
+        aliases = self._self_aliases.get(scope)
+        if aliases is not None:
+            return aliases
+        args = getattr(scope, "args", None)
+        params = {arg.arg for arg in ast.walk(args)
+                  if isinstance(arg, ast.arg)} if args is not None else set()
+        bound: dict[str, Optional[str]] = {}
+        simple: set[int] = set()
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                value = node.value
+                name = node.targets[0].id
+                if isinstance(value, ast.Attribute) \
+                        and isinstance(value.value, ast.Name) \
+                        and value.value.id == "self" \
+                        and bound.get(name, value.attr) == value.attr:
+                    bound[name] = value.attr
+                    simple.add(id(node.targets[0]))
+        for node in ast.walk(scope):
+            # Any other binding of the name (a second target, a loop
+            # variable, ``with ... as``, a walrus) makes it unknown.
+            if isinstance(node, ast.Name) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and id(node) not in simple:
+                bound[node.id] = None
+        aliases = {name: attr for name, attr in bound.items()
+                   if attr is not None and name not in params}
+        self._self_aliases[scope] = aliases
+        return aliases
+
+    def _attribute_types(self, cls: ClassInfo
+                         ) -> dict[str, Optional[list[ClassInfo]]]:
+        """``self.attr`` -> the project classes it is constructed from.
+
+        Every ``self.attr = ...`` in ``cls`` and in its project
+        subclasses counts; an attribute maps to ``None`` (unknown) as
+        soon as one of them is anything but a call of a project class.
+        """
+        key = "{}::{}".format(cls.module, cls.name)
+        types = self._attr_types.get(key)
+        if types is not None:
+            return types
+        types = {}
+        for owner, klass in self._lineage(cls):
+            for method in klass.methods.values():
+                for node in ast.walk(method.node):
+                    if isinstance(node, (ast.Assign, ast.AnnAssign,
+                                         ast.AugAssign)):
+                        targets = getattr(node, "targets", None) \
+                            or [node.target]
+                        for target in targets:
+                            self._record_attr_type(
+                                types, target, node, owner)
+        self._attr_types[key] = types
+        return types
+
+    def _record_attr_type(self, types: dict[str, Optional[list[ClassInfo]]],
+                          target: ast.AST, node: ast.AST,
+                          owner: ModuleInfo) -> None:
+        for sub in ast.walk(target):
+            if not (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"):
+                continue
+            built = None
+            if sub is target and isinstance(node.value, ast.Call) \
+                    and not isinstance(node, ast.AugAssign):
+                built = self._class_called(node.value.func, owner)
+            known = types.setdefault(sub.attr, [])
+            if built is None or known is None:
+                types[sub.attr] = None
+            elif not any(klass is built for klass in known):
+                known.append(built)
+
+    def _class_called(self, func: ast.AST,
+                      module: ModuleInfo) -> Optional[ClassInfo]:
+        """The project class a constructor call's ``func`` names."""
+        if isinstance(func, ast.Name):
+            local = module.classes.get(func.id)
+            if local is not None:
+                return local
+            dotted = module.imports.get(func.id)
+        else:
+            dotted = _dotted(func)
+            if dotted is not None and "." in dotted:
+                head, rest = dotted.split(".", 1)
+                dotted = "{}.{}".format(module.imports.get(head, head), rest)
+        if dotted is None or "." not in dotted:
+            return None
+        owner_name, leaf = dotted.rsplit(".", 1)
+        owner = self._module_by_suffix(owner_name)
+        return owner.classes.get(leaf) if owner is not None else None
+
+    def _lineage(self, cls: ClassInfo) -> list[tuple[ModuleInfo, ClassInfo]]:
+        """``cls`` and every project class that inherits from it."""
+        return [(owner, klass) for owner in self.modules.values()
+                for klass in owner.classes.values()
+                if klass is cls
+                or any(base is cls for base in self._ancestors(klass))]
+
+    def _ancestors(self, cls: ClassInfo) -> list[ClassInfo]:
+        """Project base classes of ``cls``, transitively (by base name),
+        in breadth-first order."""
+        seen: dict[int, ClassInfo] = {}
+        queue: deque[str] = deque(cls.bases)
+        while queue:
+            for base in self._classes_by_name.get(queue.popleft(), []):
+                if id(base) not in seen:
+                    seen[id(base)] = base
+                    queue.extend(base.bases)
+        return list(seen.values())
 
     def _resolve_name(self, name: str,
                       module: ModuleInfo) -> list[FunctionInfo]:
@@ -279,20 +434,10 @@ class CallGraph:
 
     def _resolve_method(self, cls: ClassInfo,
                         name: str) -> Optional[FunctionInfo]:
-        seen: set[str] = set()
-        queue: deque[ClassInfo] = deque([cls])
-        while queue:
-            current = queue.popleft()
-            key = "{}::{}".format(current.module, current.name)
-            if key in seen:
-                continue
-            seen.add(key)
+        for current in [cls] + self._ancestors(cls):
             fn = current.methods.get(name)
             if fn is not None:
                 return fn
-            for base in current.bases:
-                for candidate in self._classes_by_name.get(base, []):
-                    queue.append(candidate)
         return None
 
     def _module_by_suffix(self, dotted: str) -> Optional[ModuleInfo]:

@@ -13,6 +13,7 @@ stochastic matrix are enforced and unit-tested.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Mapping
 
 import numpy as np
@@ -121,6 +122,11 @@ class WorkloadMix:
         self.weights = np.array([max(0.0, float(weights[s]))
                                  for s in self.states])
         self.transition_matrix = self._build_matrix()
+        # Sampling tables, built once: one CDF per transition row keyed
+        # by source state, plus the start-page CDF.  See next_state.
+        self._row_cdfs = {state: _cdf(row) for state, row
+                          in zip(self.states, self.transition_matrix)}
+        self._initial_cdf = _cdf(self.initial_distribution())
 
     def _build_matrix(self) -> np.ndarray:
         size = len(self.states)
@@ -140,14 +146,22 @@ class WorkloadMix:
         return self.weights / self.weights.sum()
 
     def next_state(self, current: str, rng: np.random.Generator) -> str:
-        """Sample the next interaction after ``current``."""
-        row = self.transition_matrix[self._index[current]]
-        return self.states[int(rng.choice(len(self.states), p=row))]
+        """Sample the next interaction after ``current``.
+
+        Draw-for-draw identical to ``rng.choice(len(states), p=row)``:
+        that call normalises ``row.cumsum()`` by its last element, draws
+        one ``rng.random()`` and takes the right-side insertion point of
+        the draw in the CDF.  Here the CDF is precomputed and the
+        insertion point found by :func:`bisect.bisect_right` over the
+        same doubles.
+        """
+        cdf = self._row_cdfs[current]
+        return self.states[bisect_right(cdf, rng.random())]
 
     def first_state(self, rng: np.random.Generator) -> str:
-        """Sample a session's first interaction."""
-        dist = self.initial_distribution()
-        return self.states[int(rng.choice(len(self.states), p=dist))]
+        """Sample a session's first interaction (same scheme as
+        :meth:`next_state`, over :meth:`initial_distribution`)."""
+        return self.states[bisect_right(self._initial_cdf, rng.random())]
 
     @property
     def write_fraction(self) -> float:
@@ -157,6 +171,13 @@ class WorkloadMix:
                      for name, interaction in INTERACTIONS.items()
                      if interaction.is_write)
         return float(writes / total)
+
+
+def _cdf(p: np.ndarray) -> list[float]:
+    """``p``'s CDF exactly as ``Generator.choice`` builds it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def browsing_only_mix() -> WorkloadMix:

@@ -1,6 +1,10 @@
 """Unit tests for WindowedCounter and BusyTracker."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
 from repro.metrics import PAPER_WINDOW, BusyTracker, WindowedCounter
@@ -140,3 +144,71 @@ class TestBusyTracker:
         assert cpu.busy_slots == 2
         cpu.release(1.0)
         assert cpu.busy_slots == 1
+
+
+@st.composite
+def busy_histories(draw):
+    """A slot count and a monotone acquire/release history within it."""
+    slots = draw(st.integers(min_value=1, max_value=4))
+    steps = draw(st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(0.001, 1.0)),
+                  st.booleans(), st.integers(min_value=1, max_value=4)),
+        max_size=30))
+    now, busy, history = 0.0, 0, []
+    for gap, acquire, count in steps:
+        now += gap
+        count = min(count, slots - busy if acquire else busy)
+        if count:
+            busy += count if acquire else -count
+            history.append((now, count if acquire else -count))
+    return slots, history
+
+
+def close(value):
+    return pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+def reference_busy(history, start, end):
+    """Busy slot-seconds in ``[start, end)``, integrated segment by
+    segment from the raw history."""
+    total, level, since = 0.0, 0, 0.0
+    for time, change in history + [(math.inf, 0)]:
+        total += level * max(0.0, min(end, time) - max(start, since))
+        level += change
+        since = time
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(busy_histories(), st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    min_size=1, max_size=8),
+    st.sampled_from([0.05, 0.1, 0.25]))
+def test_busy_tracker_matches_reference_integration(history, fractions,
+                                                    window):
+    slots, changes = history
+    tracker = BusyTracker(slots)
+    for time, change in changes:
+        if change > 0:
+            tracker.acquire(time, change)
+        else:
+            tracker.release(time, -change)
+    horizon = (changes[-1][0] if changes else 0.0) + 1.0
+    assert tracker.busy_seconds(horizon) == close(
+        reference_busy(changes, 0.0, horizon))
+    # Intervals anywhere in the history, most of them in the past.
+    for a, b in fractions:
+        start, end = sorted((a * horizon, b * horizon))
+        if end - start < 1e-6:
+            continue
+        assert tracker.utilization(start, end) == close(
+            reference_busy(changes, start, end) / ((end - start) * slots))
+    series = tracker.utilization_series(window, horizon)
+    assert series.times == pytest.approx(
+        [index * window for index in range(len(series))])
+    # Every whole window up to the horizon, and no more.
+    assert len(series) * window <= horizon + 1e-9
+    assert (len(series) + 1) * window > horizon - 1e-9
+    for edge, value in series:
+        assert value == close(reference_busy(changes, edge, edge + window)
+                               / (window * slots))

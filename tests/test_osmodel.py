@@ -10,7 +10,7 @@ from repro.osmodel import (
     MillibottleneckProfile,
     PageCache,
 )
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 
 
 class TestDisk:
@@ -121,6 +121,67 @@ class TestCpu:
         env.process(work(env, "b"))
         env.run()
         assert finished == [("a", 1.0), ("b", 2.0)]
+
+    def test_interrupt_while_queued_withdraws_request(self):
+        env = Environment()
+        cpu = Cpu(env, cores=1)
+        log = []
+
+        def work(env, tag, seconds):
+            try:
+                yield from cpu.execute(seconds)
+                log.append((tag, "done", env.now))
+            except Interrupt:
+                log.append((tag, "interrupted", env.now,
+                            cpu.run_queue_length))
+
+        def interrupter(env, victim):
+            yield env.timeout(0.5)
+            assert cpu.run_queue_length == 2
+            victim.interrupt()
+
+        env.process(work(env, "a", 1.0))
+        queued = env.process(work(env, "b", 1.0))
+        env.process(work(env, "c", 1.0))
+        env.process(interrupter(env, queued))
+        env.run()
+        # b left the run queue without ever holding a core; c got the
+        # core a released, and nothing is held afterwards.
+        assert log == [("b", "interrupted", 0.5, 1), ("a", "done", 1.0),
+                       ("c", "done", 2.0)]
+        assert cpu.busy_cores == 0
+        assert cpu.run_queue_length == 0
+        assert cpu.user.busy_seconds(env.now) == pytest.approx(2.0)
+
+    def test_interrupt_mid_burn_releases_core(self):
+        env = Environment()
+        cpu = Cpu(env, cores=1)
+        log = []
+
+        def work(env, tag, seconds):
+            try:
+                yield from cpu.execute(seconds)
+                log.append((tag, "done", env.now))
+            except Interrupt:
+                log.append((tag, "interrupted", env.now,
+                            cpu.user.busy_slots,
+                            cpu.user.busy_seconds(env.now)))
+
+        def interrupter(env, victim):
+            yield env.timeout(0.75)
+            victim.interrupt()
+
+        burning = env.process(work(env, "a", 2.0))
+        env.process(work(env, "b", 1.0))
+        env.process(interrupter(env, burning))
+        env.run()
+        # a's user time stops at the interrupt, and its core goes
+        # straight to the queued b.
+        assert log == [("a", "interrupted", 0.75, 0, 0.75),
+                       ("b", "done", 1.75)]
+        assert cpu.busy_cores == 0
+        assert cpu.user.busy_seconds(env.now) == pytest.approx(1.75)
+        assert cpu.user.utilization(0.0, 0.75) == pytest.approx(1.0)
 
     def test_stall_blocks_foreground(self):
         env = Environment()

@@ -459,6 +459,69 @@ class TestResourceEscape:
         """)
         assert codes(findings) == []
 
+    def test_attribute_type_picks_the_constructed_class(self):
+        # ``self.user`` is built as a Tracker, so neither ``.acquire``
+        # on it nor on a local bound to it can reach the slot-returning
+        # Bulkhead.acquire of the same name; ``self.gate`` really is a
+        # Bulkhead, and discarding its slot still fires.
+        findings = run("""
+            class Bulkhead:
+                def acquire(self, request):
+                    slot = self.pool.request()
+                    return slot
+
+            class Tracker:
+                def acquire(self, now):
+                    self.busy += 1
+
+            class Cpu:
+                def __init__(self):
+                    self.user = Tracker()
+                    self.gate = Bulkhead()
+
+                def execute(self, env):
+                    user = self.user
+                    user.acquire(env.now)
+                    self.user.acquire(env.now)
+                    yield env.timeout(1.0)
+
+                def admit(self, env, request):
+                    self.gate.acquire(request)
+                    yield env.timeout(1.0)
+        """)
+        assert codes(findings) == ["RES003"]
+        assert "Bulkhead.acquire" in findings[0].message
+        assert findings[0].line == 23  # self.gate.acquire(request)
+
+    def test_untyped_receiver_falls_back_to_name_union(self):
+        # ``self.user`` is reassigned from a parameter in a subclass, so
+        # its type is unknown and every same-named method stays a target.
+        source = textwrap.dedent("""
+            class Bulkhead:
+                def acquire(self, request):
+                    return self.pool.request()
+
+            class Tracker:
+                def acquire(self, now):
+                    self.busy += 1
+
+            class Cpu:
+                def __init__(self):
+                    self.user = Tracker()
+
+                def execute(self, now):
+                    user = self.user
+                    user.acquire(now)
+
+            class InjectedCpu(Cpu):
+                def __init__(self, user):
+                    self.user = user
+        """)
+        graph = CallGraph(build_modules(
+            [("src/pkg/m.py", source, ast.parse(source))]))
+        assert graph.callees_of("pkg.m::Cpu.execute") == {
+            "pkg.m::Bulkhead.acquire", "pkg.m::Tracker.acquire"}
+
     def test_yield_from_binding_counts_as_bound(self):
         findings = run_escape("""
             class Mech:

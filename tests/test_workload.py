@@ -94,6 +94,34 @@ class TestMixes:
         for name in names:
             assert BROWSING_ONLY_WEIGHTS[name] > 0
 
+    @pytest.mark.parametrize("make_mix", [read_write_mix, browsing_only_mix])
+    def test_cdf_sampler_reproduces_rng_choice_draw_for_draw(self, make_mix):
+        """next_state/first_state are numpy's weighted choice, exactly.
+
+        The reference is ``rng.choice(n, p=row, size=draws)``, which
+        draws ``draws`` consecutive doubles just as that many scalar
+        ``rng.choice(n, p=row)`` calls do (pinned on a short prefix).
+        """
+        mix = make_mix()
+        n, draws = len(mix.states), 20_000
+        rows = [(state, mix.transition_matrix[i])
+                for i, state in enumerate(mix.states)]
+        rows.append((None, mix.initial_distribution()))
+        for seed, (state, row) in enumerate(rows):
+            expected = np.random.default_rng(seed).choice(
+                n, p=row, size=draws)
+            scalar_rng = np.random.default_rng(seed)
+            assert [int(scalar_rng.choice(n, p=row))
+                    for _ in range(200)] == expected[:200].tolist()
+            rng = np.random.default_rng(seed)
+            if state is None:
+                drawn = [mix.first_state(rng) for _ in range(draws)]
+            else:
+                drawn = [mix.next_state(state, rng) for _ in range(draws)]
+            assert drawn == [mix.states[i] for i in expected]
+            assert all(row[mix.states.index(name)] > 0
+                       for name in set(drawn))
+
     def test_validation(self):
         with pytest.raises(WorkloadError):
             WorkloadMix("bad", {"ViewStory": 1.0})  # missing others
