@@ -70,6 +70,14 @@ MAX_BUCKETS = 1 << 17
 #: separate distinct float timestamps at simulation scale and only
 #: inflate empty-slot scans.
 MIN_WIDTH = 1e-9
+#: Bucket width in median inter-event gaps.  Adjacent gaps are skewed
+#: short (most sit in the dense cluster near ``now``), so a width of a
+#: few gaps leaves a skewed pending set mostly in the overflow heap;
+#: six keeps the wheel's span over its bulk while the current slot —
+#: where zero-delay triggers insert — stays a few entries long.
+WIDTH_PER_GAP = 6.0
+#: Adjacent gaps sampled per width estimate.
+GAP_SAMPLES = 256
 
 
 class CalendarQueue:
@@ -330,20 +338,22 @@ def _bisect_time(entries: list[tuple], t: float) -> int:
 
 
 def _estimate_width(entries: list[tuple], fallback: float) -> float:
-    """Median inter-event gap of (a sample of) ``entries``, floored.
+    """Bucket width from the median adjacent gap of ``entries``, floored.
 
-    Brown's classic estimator samples the queue around its median;
-    pending entries are already sorted here, so take an evenly spaced
-    sample and use the median positive gap — robust against both the
-    dense zero-delay cluster at ``now`` and far-future outliers.
+    ``entries`` is sorted, so adjacent entries are neighbours in time;
+    the median of (a strided sample of) their positive gaps is the
+    typical inter-event spacing — robust against both the dense
+    zero-delay cluster at ``now`` (zero gaps are skipped) and
+    far-future outliers.  Gaps between entries *several positions*
+    apart would measure a multiple of the spacing instead, and inflate
+    the wheel's span far past the events it holds.  The width is
+    :data:`WIDTH_PER_GAP` spacings, so a bucket holds a few events.
     """
     n = len(entries)
-    if n < 2:
-        return max(fallback, MIN_WIDTH)
-    step = max(1, n // 64)
-    sample = [entries[i][0] for i in range(0, n, step)]
-    gaps = sorted(b - a for a, b in zip(sample, sample[1:]) if b > a)
+    step = max(1, n // GAP_SAMPLES)
+    gaps = sorted(gap for gap in (entries[i + 1][0] - entries[i][0]
+                                  for i in range(0, n - 1, step))
+                  if gap > 0.0)
     if not gaps:
         return max(fallback, MIN_WIDTH)
-    median = gaps[len(gaps) // 2]
-    return max(median * 2.0, MIN_WIDTH)
+    return max(gaps[len(gaps) // 2] * WIDTH_PER_GAP, MIN_WIDTH)

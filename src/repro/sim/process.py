@@ -12,7 +12,9 @@ other simply by yielding them.
 ``_resume`` is the single hottest function of the kernel — it runs once
 per event per waiting process — so it binds the generator's ``send`` /
 ``throw`` and its own resume callback once at construction instead of
-rebuilding the bound methods on every event.
+rebuilding the bound methods on every event.  The bound resume callback
+makes a live process a reference cycle; a finished process drops those
+bindings so reference counting alone frees it.
 """
 
 from __future__ import annotations
@@ -143,11 +145,13 @@ class Process(Event):
                 self._ok = True
                 self._value = exc.value
                 env._trigger_now(self)
+                self._detach()
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
                 env._trigger_now(self)
+                self._detach()
                 break
 
             # Duck-typed instead of isinstance(next_event, Event): only
@@ -180,8 +184,19 @@ class Process(Event):
         self._ok = True
         self._value = value
         self.env._trigger_now(self)
+        self._detach()
 
     def _outcome_fail(self, exc: BaseException) -> None:
         self._ok = False
         self._value = exc
         self.env._trigger_now(self)
+        self._detach()
+
+    def _detach(self) -> None:
+        """Drop the bound methods of a finished process.
+
+        ``_resume_cb`` is bound to ``self`` — a cycle reference counting
+        cannot free — and nothing resumes a finished process, so the
+        references go as soon as the generator returns or raises.
+        """
+        self._resume_cb = self._send = self._throw = None

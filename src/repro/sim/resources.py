@@ -18,6 +18,19 @@ A pending request can also be *cancelled* — this is essential for
     outcome = yield req | env.timeout(0.3)
     if req not in outcome:
         req.cancel()         # give up on the slot
+
+Grant value
+-----------
+A granted request's value is the request itself, so ``yield req``
+evaluates to ``req`` while the slot is held.  That value is a
+self-reference — a one-object cycle that reference counting cannot
+free — so :meth:`Resource.release` drops it (the value becomes
+``None``).  A released request stays ``triggered``; releasing it
+again (directly or through ``cancel_or_release``) still raises
+:class:`~repro.errors.SimulationError`, because it no longer holds a
+slot.  One request is allocated per served request per tier, so
+leaving the cycle in place would hand the cyclic garbage collector
+the bulk of a run's garbage.
 """
 
 from __future__ import annotations
@@ -147,7 +160,9 @@ class Resource:
         except ValueError:
             raise SimulationError(
                 "release of a request that does not hold a slot") from None
-        # _grant_next() inlined — this runs once per served request.
+        # Drop the grant's self-reference (see "Grant value" above).
+        request._value = None
+        # Admit waiters — this runs once per served request.
         waiting = self._waiting
         if waiting:
             env = self.env
@@ -177,14 +192,6 @@ class Resource:
         except ValueError:
             raise SimulationError(
                 "cancel of a request that is not waiting") from None
-
-    def _grant_next(self) -> None:
-        env = self.env
-        while self._waiting and len(self._users) < self._capacity:
-            request = self._waiting.popleft()
-            self._users.append(request)
-            request._value = request
-            env._trigger_now(request)
 
 
 class PriorityResource(Resource):

@@ -726,8 +726,9 @@ _HEAPQ_FUNCS = {
     "nsmallest", "nlargest",
 }
 #: Per-event classes whose direct construction bypasses a free list or
-#: inline factory (``env.timeout()``/``env.event()``/the tracer's
-#: ``__new__``-based span builders).
+#: inline factory (``env.timeout()``/``env.event()``), or — for
+#: ``Span`` — the tracer's packed row store, whose span objects are
+#: views built on access.
 _POOLED_CLASSES = {"Event", "Timeout", "Span"}
 #: The scheduler module owns the overflow heap; it is the one place
 #: heapq belongs.
@@ -741,13 +742,16 @@ class PerfHotPathRule(Rule):
     chokepoints: the :class:`~repro.sim.calendar.CalendarQueue` (the
     only sanctioned event ordering structure — its overflow heap is an
     implementation detail of ``calendar.py``) and the free-list/inline
-    factories (``env.timeout()``, ``env.event()``, the tracer's
-    ``Span.__new__`` builders).  Code under ``sim``/``tracing`` that
-    hand-rolls a ``heapq`` schedule re-introduces the O(log n) sifts
-    the calendar queue replaced, and a loop that constructs
-    ``Event``/``Timeout``/``Span`` instances directly re-introduces the
-    allocation churn the pools eliminated — both are invisible in tests
-    and only surface as a throughput regression in ``bench-smoke``.
+    factories (``env.timeout()``, ``env.event()``).  The span tracer
+    records spans as rows of packed columns (``SpanTracer.start`` and
+    friends); :class:`~repro.tracing.spans.Span` is a read-only view
+    built on access.  Code under ``sim``/``tracing`` that hand-rolls a
+    ``heapq`` schedule re-introduces the O(log n) sifts the calendar
+    queue replaced, and a loop that constructs ``Event``/``Timeout``
+    instances directly re-introduces the allocation churn the pools
+    eliminated — as does a loop that builds ``Span`` objects instead of
+    rows — all invisible in tests and only surfacing as a throughput
+    regression in ``bench-smoke``.
     """
 
     id = "perf-hot-path"
@@ -842,7 +846,7 @@ class PerfHotPathRule(Rule):
                        "per-event {}(...) construction inside a loop "
                        "bypasses the free-list/factory APIs; use "
                        "env.timeout()/env.event() (or the tracer's "
-                       "span builders), or hoist the allocation out "
+                       "row store), or hoist the allocation out "
                        "of the loop".format(short))
 
 

@@ -343,13 +343,13 @@ class FrontendTier(TierServer):
             tracer = self.env.tracer
             if tracer is not None:
                 tracer.instant(request.request_id, self._span_error)
-            request.completion.succeed(request)
+            request.completion.succeed()
             return
         yield from self.host.execute(demand * 0.5)
         self.host.write_file(self.access_log_bytes)
         self.requests_completed += 1
         self.bytes_served += request.interaction.traffic_bytes
-        request.completion.succeed(request)
+        request.completion.succeed()
 
     def _drain_leveled(self, request: Request):
         """Boundary crossing for a leveled request (runs on a drain)."""
@@ -370,7 +370,7 @@ class FrontendTier(TierServer):
         tracer = self.env.tracer
         if tracer is not None:
             tracer.instant(request.request_id, self._span_shed)
-        request.completion.succeed(request)
+        request.completion.succeed()
 
     # -- observability -----------------------------------------------------
     @property

@@ -15,7 +15,9 @@ class Request:
     """One client HTTP request travelling through the tiers.
 
     The client creates the request and waits on :attr:`completion`;
-    the web tier triggers that event with the response.  Components
+    the web tier triggers that event (with no value: the request
+    holding an event whose value is the request would be a reference
+    cycle per request) when the response is sent.  Components
     annotate the request as it travels (which app server handled it,
     how many times its packet was dropped) so the metrics layer can
     attribute outcomes afterwards.

@@ -1,5 +1,7 @@
 """Edge-case tests for the DES kernel that the models rely on."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -236,8 +238,6 @@ class TestCalendarQueueOrdering:
     (the golden-trace hashes depend on exactly this)."""
 
     def test_pop_order_globally_sorted_with_duplicates(self):
-        import random
-
         rng = random.Random(7)
         entries = [_entry(rng.choice([0.0, 1e-4, 1e-3, 0.05, 0.3, 2.0]),
                           seq) for seq in range(500)]
@@ -349,6 +349,20 @@ class TestCalendarQueueResize:
         assert queue.nbuckets > DEFAULT_BUCKETS
         assert queue.width < 1e-4  # tracked the dense cluster's gaps
         assert _drain(queue) == sorted(dense + sparse)
+
+    def test_resize_width_tracks_uniform_spacing(self):
+        """2,000 events spread uniformly over 1 s are ~0.5 ms apart: the
+        re-estimated width must be a few such gaps, not the gap between
+        entries dozens of positions apart (which spans a wheel far past
+        the pending events and piles them into one slot)."""
+        rng = random.Random(3)
+        entries = [_entry(rng.random(), seq) for seq in range(2000)]
+        queue = CalendarQueue()
+        for entry in entries:
+            queue.push(entry)
+        assert queue.nbuckets > DEFAULT_BUCKETS
+        assert queue.width <= 0.005
+        assert _drain(queue) == sorted(entries)
 
     def test_resize_mid_drain_resumes_exactly(self):
         """Growing while the current slot is partially consumed must

@@ -163,6 +163,75 @@ def test_cancel_or_release_handles_both_states():
     assert res.queue_length == 0
 
 
+def test_yield_grant_evaluates_to_the_request():
+    env = Environment()
+    res = Resource(env, capacity=1)
+
+    def proc(env):
+        with res.request() as req:
+            granted = yield req
+            assert granted is req
+            assert req.value is req
+        return req
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.value.triggered
+
+
+def test_grant_is_a_member_of_a_racing_condition():
+    env = Environment()
+    res = Resource(env, capacity=1)
+
+    def proc(env):
+        req = res.request()
+        outcome = yield req | env.timeout(1.0)
+        assert req in outcome
+        assert outcome[req] is req
+        res.release(req)
+        return env.now
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.value == 0.0
+
+
+def test_release_drops_the_grant_self_reference():
+    """A granted request's value is itself — a reference cycle; release
+    drops it, and the request stays triggered."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+
+    def proc(env):
+        req = res.request()
+        yield req
+        res.release(req)
+        assert req.triggered
+        assert req.value is None
+        return req
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.value.triggered
+    assert res.count == 0
+
+
+def test_double_cancel_or_release_raises():
+    env = Environment()
+    res = Resource(env, capacity=1)
+
+    def proc(env):
+        req = res.request()
+        yield req
+        req.cancel_or_release()
+        with pytest.raises(SimulationError):
+            req.cancel_or_release()
+
+    env.process(proc(env))
+    env.run()
+    assert res.count == 0
+
+
 def test_cancelled_request_is_skipped_on_release():
     env = Environment()
     res = Resource(env, capacity=1)

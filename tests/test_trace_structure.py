@@ -14,6 +14,7 @@ turning tracing on cannot perturb a simulation.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -21,7 +22,7 @@ import pytest
 from repro.cluster.config import ScaleProfile
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
 from repro.sim.core import Environment
-from repro.tracing import decompose
+from repro.tracing import chrome_trace, decompose
 
 from tests.test_golden_trace import SCENARIO_EVENTS, SCENARIO_SHA256, trace_hash
 
@@ -32,6 +33,14 @@ STRUCTURE_COMPLETED = 751
 STRUCTURE_SPANS = 7410
 STRUCTURE_SHA256 = (
     "c29f6e273fee69c694c66ac256069d18c5414b0bb6eadd2154f0a49e2a29775d")
+#: Span *content* of the same fixture, pinned before the span store was
+#: packed into columns: the Chrome trace JSON (names, times and meta in
+#: key order, per request in walk order) and every span's id with its
+#: parent's id.
+CHROME_SHA256 = (
+    "4f135802aaf893cfa4b5b272ec378594b647529daeb8967320e3d610ca30cacf")
+SPAN_IDS_SHA256 = (
+    "7995f77c782227cc58c0c18736bbb30078f53a3f85a77df319757b6c9c37b3bf")
 
 #: The shape every uncontended request takes through the full stack.
 PLAIN_SIGNATURE = (
@@ -73,6 +82,21 @@ class TestGoldenSpanStructure:
     def test_structure_signature_matches_golden(self, traced_scenario):
         assert structure_hash(
             traced_scenario.traces()) == STRUCTURE_SHA256
+
+    def test_chrome_trace_matches_golden(self, traced_scenario):
+        document = json.dumps(chrome_trace(traced_scenario.traces()))
+        assert hashlib.sha256(
+            document.encode()).hexdigest() == CHROME_SHA256
+
+    def test_span_ids_and_parents_match_golden(self, traced_scenario):
+        payload = "\n".join(
+            "{} {} {}".format(trace.request_id, span.span_id,
+                              -1 if span.parent is None
+                              else span.parent.span_id)
+            for trace in traced_scenario.traces()
+            for span in trace.root.walk())
+        assert hashlib.sha256(
+            payload.encode()).hexdigest() == SPAN_IDS_SHA256
 
     def test_most_requests_take_the_plain_path(self, traced_scenario):
         signatures = [trace.signature()

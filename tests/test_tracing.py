@@ -116,6 +116,39 @@ class TestSpanTracer:
         (late,) = trace.spans_named("tcp.retransmit_wait")
         assert late.parent.name == "balancer.endpoint_wait"
 
+    def test_stack_unwinds_past_spans_closed_out_of_order(self):
+        """Closing the innermost span makes the innermost span still
+        open current again — never one already closed out of order."""
+        env = Environment()
+        tracer = SpanTracer(env)
+        tracer.begin(1)
+        outer = tracer.start(1, "balancer.dispatch")
+        middle = tracer.start(1, "balancer.endpoint_wait")
+        inner = tracer.start(1, "balancer.send")
+        tracer.finish(middle)  # out of order
+        tracer.finish(inner)   # unwinds past middle to outer
+        tracer.finish(tracer.start(1, "balancer.retry_pause"))
+        tracer.finish(outer)   # unwinds to the root
+        tracer.finish(tracer.start(1, "tcp.retransmit_wait"))
+        trace = tracer.get(1)
+        (pause,) = trace.spans_named("balancer.retry_pause")
+        (late,) = trace.spans_named("tcp.retransmit_wait")
+        assert pause.parent.name == "balancer.dispatch"
+        assert late.parent is trace.root
+
+    def test_named_close_unwinds_past_spans_closed_out_of_order(self):
+        env = Environment()
+        tracer = SpanTracer(env)
+        tracer.begin(1)
+        outer = tracer.start(1, "apache.service")
+        tracer.start_named(1, "tomcat.queue_wait")
+        tracer.finish(outer)  # out of order: the named wait is innermost
+        tracer.finish_named(1, "tomcat.queue_wait")
+        tracer.finish(tracer.start(1, "tcp.retransmit_wait"))
+        trace = tracer.get(1)
+        (late,) = trace.spans_named("tcp.retransmit_wait")
+        assert late.parent is trace.root
+
     def test_named_spans_cross_components(self):
         env = Environment()
         tracer = SpanTracer(env)
