@@ -22,6 +22,16 @@ with population *counts*:
   from pre-filled buffers, so selection cost is flat in the replica
   count.
 
+The dispatch and completion loops run on plain Python ints: replica
+picks are read through a zero-copy ``memoryview`` of the integer draw
+array, the choice rule is inlined into ``_dispatch``, and each
+replica's completion callback binds what it touches when it is built.
+Both draw buffers are iterators that refill at the read that finds
+them empty, the same points on the RNG stream as an index-and-refill
+buffer.  Service draws stay ``np.float64``, and so does the clock they
+advance: the ``large_n`` benchmark fingerprints the ``repr`` of the
+sojourn sums, which a Python-float clock would change.
+
 Memory is O(users + replicas) regardless of run length: counters,
 bounded deques, and fixed RNG buffers — no per-user Process, no
 per-request object, no growing sample list.  Mean sojourn time is
@@ -30,42 +40,39 @@ area integral the population maintains.
 
 The open variant (``arrival_rate``) swaps the binomial think draw for
 a Poisson arrival draw per tick and lets completed users leave, which
-is the regime the mean-field prediction of
-``benchmarks/test_largeN_meanfield.py`` is stated for.
+is the regime the mean-field predictions of
+``benchmarks/test_largeN_meanfield.py`` and ``tests/test_aggregate.py``
+are stated for.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
+from math import inf
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.workload.client import DEFAULT_THINK_TIME
 
 #: RNG draws are buffered in chunks this size (refilled on exhaustion).
 RNG_CHUNK = 65536
 
 
-class _Buffered:
-    """Chunked RNG draws: one vectorised call amortised over many uses."""
+def _draws(draw):
+    """An endless iterator over the items of successive ``draw()``
+    chunks: the first chunk is drawn now, each next one at the read
+    that finds the last one exhausted."""
+    def chunks(chunk):
+        while True:
+            yield chunk
+            del chunk  # free the spent chunk before drawing the next
+            chunk = draw()
 
-    __slots__ = ("_refill", "_buf", "_idx")
-
-    def __init__(self, refill) -> None:
-        self._refill = refill
-        self._buf = refill()
-        self._idx = 0
-
-    def next(self):
-        idx = self._idx
-        buf = self._buf
-        if idx == len(buf):
-            buf = self._buf = self._refill()
-            idx = 0
-        self._idx = idx + 1
-        return buf[idx]
+    return chain.from_iterable(chunks(draw()))
 
 
 class AggregatedClientPopulation:
@@ -105,16 +112,21 @@ class AggregatedClientPopulation:
                  d: int = 2,
                  tick: Optional[float] = None,
                  seed: int = 1) -> None:
-        if replicas < 1:
-            raise ConfigurationError("need at least one replica")
-        if service_time <= 0:
-            raise ConfigurationError("service_time must be positive")
-        if d < 1:
-            raise ConfigurationError("d must be >= 1")
-        if arrival_rate is None and users < 1:
-            raise ConfigurationError("closed mode needs users >= 1")
-        if arrival_rate is None and think_time <= 0:
-            raise ConfigurationError("think_time must be positive")
+        counts = {"replicas": replicas, "d": d}
+        spans = {"service_time": service_time, "tick": tick}
+        if arrival_rate is None:
+            counts["users"] = users
+            spans["think_time"] = think_time
+        else:
+            spans["arrival_rate"] = arrival_rate
+        for name, value in counts.items():
+            if not isinstance(value, Integral) or value < 1:
+                raise ConfigurationError("{} must be an integer >= 1, "
+                                         "got {!r}".format(name, value))
+        for name, value in spans.items():
+            if value is not None and not 0 < value < inf:
+                raise ConfigurationError("{} must be positive and finite, "
+                                         "got {!r}".format(name, value))
         self.env = env
         self.replicas = replicas
         self.service_time = service_time
@@ -123,15 +135,15 @@ class AggregatedClientPopulation:
         self.arrival_rate = arrival_rate
         self.d = d
         self.tick = tick if tick is not None else service_time / 10.0
-        if self.tick <= 0:
-            raise ConfigurationError("tick must be positive")
 
         rng = np.random.default_rng(seed)
         self._rng = rng
-        self._svc = _Buffered(
+        # Service draws stay np.float64 (the clock's type); replica
+        # picks are read as plain ints through a zero-copy memoryview.
+        self._svc = _draws(
             lambda: rng.standard_exponential(RNG_CHUNK) * service_time)
-        self._pick = _Buffered(
-            lambda: rng.integers(0, replicas, RNG_CHUNK))
+        self._pick = _draws(
+            lambda: memoryview(rng.integers(0, replicas, RNG_CHUNK)))
 
         #: Jobs at each replica (queued + in service).
         self.queues = [0] * replicas
@@ -140,7 +152,7 @@ class AggregatedClientPopulation:
         #: One reusable completion callback per replica — allocated
         #: once, so the steady state schedules zero new objects beyond
         #: the pooled Timeouts themselves.
-        self._complete = [self._make_complete(i) for i in range(replicas)]
+        self._complete = self._make_completions()
         #: Users currently thinking (closed mode).
         self.thinking = users if arrival_rate is None else 0
         #: Aggregate counters.
@@ -155,56 +167,68 @@ class AggregatedClientPopulation:
         self._process = env.process(self._run())
 
     # -- dispatch ----------------------------------------------------------
-    def _select(self) -> int:
-        """JSQ(d): sample ``d`` replicas with replacement, least loaded."""
-        pick = self._pick
-        queues = self.queues
-        best = pick.next()
-        load = queues[best]
-        for _ in range(self.d - 1):
-            other = pick.next()
-            if queues[other] < load:
-                best = other
-                load = queues[other]
-        return best
-
     def _dispatch(self, count: int, now: float) -> None:
-        env = self.env
+        """JSQ(d): send each of ``count`` jobs to the least loaded of
+        ``d`` replicas sampled with replacement."""
         queues = self.queues
+        arrivals = self._arrivals
+        complete = self._complete
+        timeout = self.env.timeout
+        next_svc = self._svc.__next__
+        next_pick = self._pick.__next__
+        others = range(self.d - 1)
         for _ in range(count):
-            idx = self._select()
-            self._arrivals[idx].append(now)
-            queues[idx] += 1
-            self.dispatched += 1
-            if queues[idx] == 1:
-                timeout = env.timeout(self._svc.next())
-                timeout.callbacks.append(self._complete[idx])
+            best = next_pick()
+            load = queues[best]
+            for _ in others:
+                other = next_pick()
+                if queues[other] < load:
+                    best = other
+                    load = queues[other]
+            arrivals[best].append(now)
+            queues[best] = load + 1
+            if not load:
+                timeout(next_svc()).callbacks.append(complete[best])
+        self.dispatched += count
         self._area += self._in_system * (now - self._area_since)
         self._area_since = now
         self._in_system += count
 
-    def _make_complete(self, idx: int):
-        """Build replica ``idx``'s reusable completion callback."""
+    def _make_completions(self) -> list:
+        """Build each replica's reusable completion callback.
 
-        def complete(_event) -> None:
-            env = self.env
-            now = env._now
-            sojourn = now - self._arrivals[idx].popleft()
-            self.queues[idx] -= 1
-            self.completions += 1
-            self.sojourn_sum += sojourn
-            if sojourn > self.sojourn_max:
-                self.sojourn_max = sojourn
-            self._area += self._in_system * (now - self._area_since)
-            self._area_since = now
-            self._in_system -= 1
-            if self.arrival_rate is None:
-                self.thinking += 1
-            if self.queues[idx]:
-                timeout = env.timeout(self._svc.next())
-                timeout.callbacks.append(complete)
+        What every replica shares is bound once, in cells all the
+        callbacks share; each callback adds only its index, its
+        deque's ``popleft`` and itself.
+        """
+        queues = self.queues
+        env = self.env
+        timeout = env.timeout
+        closed = self.arrival_rate is None
+        next_svc = self._svc.__next__
 
-        return complete
+        def make(idx, popleft):
+            def complete(_event) -> None:
+                now = env._now
+                sojourn = now - popleft()
+                left = queues[idx] - 1
+                queues[idx] = left
+                self.completions += 1
+                self.sojourn_sum += sojourn
+                if sojourn > self.sojourn_max:
+                    self.sojourn_max = sojourn
+                self._area += self._in_system * (now - self._area_since)
+                self._area_since = now
+                self._in_system -= 1
+                if closed:
+                    self.thinking += 1
+                if left:
+                    timeout(next_svc()).callbacks.append(complete)
+
+            return complete
+
+        return [make(idx, arrivals.popleft)
+                for idx, arrivals in enumerate(self._arrivals)]
 
     # -- think/arrival loop ------------------------------------------------
     def _run(self):
@@ -264,10 +288,20 @@ class AggregatedClientPopulation:
 
         ``T = area(in-system) / completions`` — both maintained in O(1)
         per event, so the check costs nothing extra.
+
+        Raises
+        ------
+        AnalysisError
+            If ``until`` is earlier than the last state change: the
+            area up to that time is no longer known.
         """
+        now = self.env.now if until is None else until
+        if not now >= self._area_since:
+            raise AnalysisError(
+                "until ({}) is before the last state change ({})".format(
+                    until, self._area_since))
         if not self.completions:
             return 0.0
-        now = self.env.now if until is None else until
         area = self._area + self._in_system * (now - self._area_since)
         return area / self.completions
 
