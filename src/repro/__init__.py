@@ -18,93 +18,73 @@ Quickstart::
 
     result = ExperimentRunner(Scenario.named("table1/current_load")).run()
     print(result.summary())
+
+Importing a package loads none of its modules: every package's public
+names resolve on first use (see :func:`lazy_exports`), so a run loads
+only the layers it calls into.
 """
+
+from __future__ import annotations
+
+import sys
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-from repro.cluster.config import ScaleProfile
-from repro.cluster.runner import (
-    ExperimentConfig,
-    ExperimentResult,
-    ExperimentRunner,
-    compare_policies,
-)
-from repro.cluster.scenarios import Scenario
-from repro.cluster.spec import TopologySpec
-from repro.cluster.topology import NTierSystem, build_from_spec, build_system
-from repro.core.balancer import BalancerConfig, DirectDispatcher, LoadBalancer
-from repro.core.mechanism import ModifiedGetEndpoint, OriginalGetEndpoint
-from repro.core.policies import (
-    CurrentLoadPolicy,
-    Policy,
-    TotalRequestPolicy,
-    TotalTrafficPolicy,
-    make_policy,
-)
-from repro.core.remedies import TABLE1_BUNDLES, RemedyBundle, get_bundle
-from repro.errors import (
-    AnalysisError,
-    BalancerError,
-    ConfigurationError,
-    NoCandidateError,
-    ReproError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.metrics.stats import ResponseTimeStats
-from repro.osmodel.profiles import MillibottleneckProfile
-from repro.parallel import (
-    ExperimentSummary,
-    Replication,
-    replicate,
-    run_experiments,
-    summarize,
-)
-from repro.workload.mix import browsing_only_mix, read_write_mix
 
-__all__ = [
-    "__version__",
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """``(__all__, __getattr__, __dir__)`` for a re-exporting package.
+
+    ``exports`` maps each defining module to the names ``package``
+    re-exports from it; it is the package's only list of public names.
+    A name's module is imported when the name is first read (PEP 562),
+    and the object is then cached in the package's globals, so
+    ``from package import Name`` returns the defining module's object
+    and later reads never reach ``__getattr__``.
+    """
+    home = {name: module for module, names in exports.items()
+            for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError("module {!r} has no attribute {!r}".format(
+                package, name))
+        value = namespace[name] = getattr(import_module(home[name]), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | home.keys())
+
+    return list(home), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     # experiments
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "Scenario",
-    "ScaleProfile",
-    "compare_policies",
-    "NTierSystem",
-    "build_system",
-    "build_from_spec",
-    "TopologySpec",
-    "ExperimentSummary",
-    "Replication",
-    "replicate",
-    "run_experiments",
-    "summarize",
+    "repro.cluster.runner": ("ExperimentConfig", "ExperimentResult",
+                             "ExperimentRunner", "compare_policies"),
+    "repro.cluster.scenarios": ("Scenario",),
+    "repro.cluster.config": ("ScaleProfile",),
+    "repro.cluster.topology": ("NTierSystem", "build_system",
+                               "build_from_spec"),
+    "repro.cluster.spec": ("TopologySpec",),
+    "repro.parallel": ("ExperimentSummary", "Replication", "replicate",
+                       "run_experiments", "summarize"),
     # the contribution
-    "LoadBalancer",
-    "DirectDispatcher",
-    "BalancerConfig",
-    "Policy",
-    "TotalRequestPolicy",
-    "TotalTrafficPolicy",
-    "CurrentLoadPolicy",
-    "make_policy",
-    "OriginalGetEndpoint",
-    "ModifiedGetEndpoint",
-    "RemedyBundle",
-    "TABLE1_BUNDLES",
-    "get_bundle",
+    "repro.core.balancer": ("LoadBalancer", "DirectDispatcher",
+                            "BalancerConfig"),
+    "repro.core.policies": ("Policy", "TotalRequestPolicy",
+                            "TotalTrafficPolicy", "CurrentLoadPolicy",
+                            "make_policy"),
+    "repro.core.mechanism": ("OriginalGetEndpoint", "ModifiedGetEndpoint"),
+    "repro.core.remedies": ("RemedyBundle", "TABLE1_BUNDLES", "get_bundle"),
     # supporting
-    "MillibottleneckProfile",
-    "ResponseTimeStats",
-    "browsing_only_mix",
-    "read_write_mix",
+    "repro.osmodel.profiles": ("MillibottleneckProfile",),
+    "repro.metrics.stats": ("ResponseTimeStats",),
+    "repro.workload.mix": ("browsing_only_mix", "read_write_mix"),
     # errors
-    "ReproError",
-    "SimulationError",
-    "ConfigurationError",
-    "WorkloadError",
-    "BalancerError",
-    "NoCandidateError",
-    "AnalysisError",
-]
+    "repro.errors": ("ReproError", "SimulationError", "ConfigurationError",
+                     "WorkloadError", "BalancerError", "NoCandidateError",
+                     "AnalysisError"),
+})
+__all__.insert(0, "__version__")

@@ -20,13 +20,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.report import table1, table1_with_paper
-from repro.cluster.runner import ExperimentRunner, compare_policies
-from repro.cluster.scenarios import Scenario
-from repro.core.remedies import TABLE1_BUNDLES
+# Each subcommand imports what it runs, so ``--help`` and ``statan``
+# load no simulator code (and no numpy).
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.cluster.scenarios import Scenario
+
     for key in Scenario.keys():
         print(key)
     return 0
@@ -50,14 +50,13 @@ def _load_topology(ref: str):
 def _cmd_run(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    from repro.cluster.runner import ExperimentConfig, ExperimentRunner
     from repro.errors import ConfigurationError
 
     if args.topology is not None:
         if args.scenario is not None:
             raise ConfigurationError(
                 "give either a scenario key or --topology, not both")
-        from repro.cluster.runner import ExperimentConfig
-
         spec = _load_topology(args.topology)
         config = ExperimentConfig(
             profile=spec.scale_profile(), topology=spec,
@@ -66,6 +65,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.scenario is None:
             raise ConfigurationError(
                 "give a scenario key (see 'list') or --topology SPEC")
+        from repro.cluster.scenarios import Scenario
+
         config = Scenario.named(args.scenario)
         if args.duration is not None:
             config = replace(config, duration=args.duration)
@@ -88,9 +89,11 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.core.remedies import TABLE1_BUNDLES
+
     if args.policies is not None:
         from repro.cluster.config import ScaleProfile
-        from repro.cluster.scenarios import PolicyRematch
+        from repro.cluster.chaos import PolicyRematch
 
         extra = _split(args.policies) or []
         suite = PolicyRematch(
@@ -105,6 +108,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         report = suite.run(workers=args.workers)
         print(report.render())
         return 0
+    from repro.analysis.report import table1, table1_with_paper
+    from repro.cluster.runner import compare_policies
+
     results = compare_policies(
         [bundle.key for bundle in TABLE1_BUNDLES],
         duration=args.duration if args.duration is not None else 20.0,
@@ -118,6 +124,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_replicate(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    from repro.cluster.scenarios import Scenario
     from repro.parallel import replicate
 
     config = Scenario.named(args.scenario)
@@ -141,6 +148,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.analysis.export import export_result
+    from repro.cluster.runner import ExperimentRunner
+    from repro.cluster.scenarios import Scenario
 
     config = Scenario.named(args.scenario)
     if args.duration is not None:
@@ -164,7 +173,7 @@ def _split(value: str | None) -> list[str] | None:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.cluster.config import ScaleProfile
-    from repro.cluster.scenarios import ChaosSuite
+    from repro.cluster.chaos import ChaosSuite
 
     suite = ChaosSuite(
         fault_keys=_split(args.faults),
@@ -199,8 +208,8 @@ def _cmd_controlplane(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.cluster.config import ScaleProfile
-    from repro.cluster.runner import ExperimentConfig
-    from repro.cluster.scenarios import fault_specs, time_to_recover
+    from repro.cluster.runner import ExperimentConfig, ExperimentRunner
+    from repro.cluster.chaos import fault_specs, time_to_recover
     from repro.controlplane import get_controlplane
 
     remedy = get_controlplane(args.remedy)
@@ -324,6 +333,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import json
     from dataclasses import replace
 
+    from repro.cluster.runner import ExperimentRunner
+    from repro.cluster.scenarios import Scenario
     from repro.tracing import trace_report, write_chrome_trace
 
     config = Scenario.named(args.scenario)

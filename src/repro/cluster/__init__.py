@@ -1,141 +1,34 @@
 """Topology, configuration, and experiment execution."""
 
-from repro.cluster.config import (
-    HardwareConfig,
-    PaperTierConfig,
-    ScaleProfile,
-    SoftwareStack,
-)
-from repro.cluster.faults import (
-    CorrelatedCrashFault,
-    CrashFault,
-    CrashRecord,
-    FaultInjector,
-    FaultSpec,
-    LinkLatencyFault,
-    NetworkFaultRecord,
-    PacketLossFault,
-    RecurringFault,
-    SlowFault,
-    SlowRecord,
-    WanDegradationFault,
-    ZoneOutageFault,
-)
-from repro.cluster.geo import (
-    GEO_FAULTS,
-    GeoCell,
-    GeoReport,
-    GeoSuite,
-)
-from repro.cluster.runner import (
-    ExperimentConfig,
-    ExperimentResult,
-    ExperimentRunner,
-    compare_policies,
-)
-from repro.cluster.scenarios import (
-    CHAOS_DURATION,
-    FAULT_SCENARIOS,
-    ZONE_FAULT_KEYS,
-    FIGURE_DURATION,
-    TABLE_DURATION,
-    ChaosCell,
-    ChaosReport,
-    ChaosSuite,
-    Scenario,
-    all_remedy_keys,
-    baseline_no_millibottleneck,
-    fault_horizon,
-    fault_specs,
-    policy_run,
-    resolve_remedy,
-    single_node_millibottleneck,
-    table1_run,
-    time_to_recover,
-)
-from repro.cluster.spec import (
-    BUILTIN_TOPOLOGIES,
-    BoundarySpec,
-    CacheSpec,
-    FlushSpec,
-    LinkProfileSpec,
-    ShardSpec,
-    TierSpec,
-    TopologySpec,
-    WorkloadSpec,
-    ZoneLinkSpec,
-    ZoneSpec,
-    get_topology,
-)
-from repro.cluster.sweeps import Sweep
-from repro.cluster.topology import (
-    NTierSystem,
-    build_from_spec,
-    build_system,
-    replica_factory_for,
-    retire_replica,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ScaleProfile",
-    "SoftwareStack",
-    "HardwareConfig",
-    "PaperTierConfig",
-    "NTierSystem",
-    "FaultInjector",
-    "FaultSpec",
-    "CrashFault",
-    "SlowFault",
-    "PacketLossFault",
-    "LinkLatencyFault",
-    "CorrelatedCrashFault",
-    "RecurringFault",
-    "ZoneOutageFault",
-    "WanDegradationFault",
-    "CrashRecord",
-    "SlowRecord",
-    "NetworkFaultRecord",
-    "build_system",
-    "build_from_spec",
-    "TopologySpec",
-    "TierSpec",
-    "BoundarySpec",
-    "FlushSpec",
-    "WorkloadSpec",
-    "ZoneSpec",
-    "ZoneLinkSpec",
-    "LinkProfileSpec",
-    "CacheSpec",
-    "ShardSpec",
-    "BUILTIN_TOPOLOGIES",
-    "get_topology",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "compare_policies",
-    "Sweep",
-    "Scenario",
-    "baseline_no_millibottleneck",
-    "single_node_millibottleneck",
-    "policy_run",
-    "table1_run",
-    "FIGURE_DURATION",
-    "TABLE_DURATION",
-    "CHAOS_DURATION",
-    "FAULT_SCENARIOS",
-    "ZONE_FAULT_KEYS",
-    "GEO_FAULTS",
-    "GeoCell",
-    "GeoReport",
-    "GeoSuite",
-    "ChaosCell",
-    "ChaosReport",
-    "ChaosSuite",
-    "fault_specs",
-    "fault_horizon",
-    "time_to_recover",
-    "all_remedy_keys",
-    "resolve_remedy",
-    "replica_factory_for",
-    "retire_replica",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.config": ("ScaleProfile", "SoftwareStack",
+                             "HardwareConfig", "PaperTierConfig"),
+    "repro.cluster.topology": ("NTierSystem", "build_system",
+                               "build_from_spec", "replica_factory_for",
+                               "retire_replica"),
+    "repro.cluster.faults": ("FaultInjector", "FaultSpec", "CrashFault",
+                             "SlowFault", "PacketLossFault",
+                             "LinkLatencyFault", "CorrelatedCrashFault",
+                             "RecurringFault", "ZoneOutageFault",
+                             "WanDegradationFault", "CrashRecord",
+                             "SlowRecord", "NetworkFaultRecord"),
+    "repro.cluster.spec": ("TopologySpec", "TierSpec", "BoundarySpec",
+                           "FlushSpec", "WorkloadSpec", "ZoneSpec",
+                           "ZoneLinkSpec", "LinkProfileSpec", "CacheSpec",
+                           "ShardSpec", "BUILTIN_TOPOLOGIES", "get_topology"),
+    "repro.cluster.runner": ("ExperimentConfig", "ExperimentResult",
+                             "ExperimentRunner", "compare_policies"),
+    "repro.cluster.sweeps": ("Sweep",),
+    "repro.cluster.scenarios": ("Scenario", "baseline_no_millibottleneck",
+                                "single_node_millibottleneck", "policy_run",
+                                "table1_run", "FIGURE_DURATION",
+                                "TABLE_DURATION"),
+    "repro.cluster.chaos": ("CHAOS_DURATION", "FAULT_SCENARIOS",
+                            "ZONE_FAULT_KEYS", "ChaosCell", "ChaosReport",
+                            "ChaosSuite", "fault_specs", "fault_horizon",
+                            "time_to_recover", "all_remedy_keys",
+                            "resolve_remedy"),
+    "repro.cluster.geo": ("GEO_FAULTS", "GeoCell", "GeoReport", "GeoSuite"),
+})

@@ -270,6 +270,19 @@ class FaultInjector:
         #: Scheduled crash windows per server, for overlap validation.
         self._crash_windows: dict[str, list[tuple[float, float]]] = {}
 
+    def _check_window(self, at: float, duration: Optional[float]) -> None:
+        """Reject a fault window that starts in the past or at a
+        non-finite time, or whose length (``None``: open-ended) is not
+        positive and finite."""
+        if not self.env.now <= at < _INF:
+            raise ConfigurationError(
+                "fault start {!r} must be finite and not in the past"
+                .format(at))
+        if duration is not None and not 0 < duration < _INF:
+            raise ConfigurationError(
+                "fault duration must be positive and finite, got {!r}"
+                .format(duration))
+
     # -- crash (fail-stop) -----------------------------------------------
     def crash_at(self, server: TierServer, at: float,
                  duration: Optional[float] = None) -> None:
@@ -280,10 +293,7 @@ class FaultInjector:
         Overlapping crash windows on the same server are rejected —
         crashing an already-crashed server is undefined behaviour.
         """
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a crash in the past")
-        if duration is not None and duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        self._check_window(at, duration)
         end = _INF if duration is None else at + duration
         windows = self._crash_windows.setdefault(server.name, [])
         for start, stop in windows:
@@ -313,10 +323,7 @@ class FaultInjector:
     def slow_at(self, server: TierServer, at: float, duration: float,
                 factor: float = 3.0) -> None:
         """Multiply ``server``'s CPU demand by ``factor`` for a window."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a fault in the past")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        self._check_window(at, duration)
         if factor <= 1.0:
             raise ConfigurationError(
                 "slowdown factor must be > 1.0 (got {!r})".format(factor))
@@ -340,14 +347,11 @@ class FaultInjector:
                          extra_latency: float = 0.0) -> None:
         """Drop ``loss`` of offers to ``socket`` (and delay survivors)
         for a window."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a fault in the past")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        self._check_window(at, duration)
         if not 0.0 <= loss < 1.0:
             raise ConfigurationError("loss must be in [0, 1)")
-        if extra_latency < 0:
-            raise ConfigurationError("extra_latency must be >= 0")
+        if not 0 <= extra_latency < _INF:
+            raise ConfigurationError("extra_latency must be >= 0 and finite")
         impairment = NetworkImpairment(
             loss=loss, extra_latency=extra_latency,
             rng=np.random.default_rng(self._rng.integers(2 ** 63)))
@@ -369,12 +373,10 @@ class FaultInjector:
     def add_link_latency_at(self, link: Link, at: float, duration: float,
                             extra: float) -> None:
         """Add ``extra`` one-way latency to ``link`` for a window."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a fault in the past")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if extra <= 0:
-            raise ConfigurationError("extra latency must be positive")
+        self._check_window(at, duration)
+        if not 0 < extra < _INF:
+            raise ConfigurationError(
+                "extra latency must be positive and finite")
         self.env.process(self._run_link_latency(link, at, duration, extra))
 
     def _run_link_latency(self, link: Link, at: float, duration: float,
@@ -392,10 +394,7 @@ class FaultInjector:
     def degrade_wan_at(self, link: Link, at: float, duration: float,
                        profile: LinkProfile) -> None:
         """Swap ``link`` onto ``profile`` for a window, then restore."""
-        if at < self.env.now:
-            raise ConfigurationError("cannot schedule a fault in the past")
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        self._check_window(at, duration)
         if link.profile is None:
             raise ConfigurationError(
                 "link {} has no WAN profile to degrade".format(link.name))
@@ -439,9 +438,9 @@ class FaultInjector:
         if kind not in ("crash", "slow"):
             raise ConfigurationError(
                 "recurring fault kind must be 'crash' or 'slow'")
-        if mean_interval <= 0 or duration <= 0:
+        if not (0 < mean_interval < _INF and 0 < duration < _INF):
             raise ConfigurationError(
-                "mean_interval and duration must be positive")
+                "mean_interval and duration must be positive and finite")
         self.env.process(self._run_recurring(
             server, kind, mean_interval, duration, factor, start, until))
 

@@ -56,7 +56,7 @@ GEO_DURATION = 12.0
 STARVED_DISK_BANDWIDTH = 3e6
 
 #: Named geo-scale fault timelines, ``duration -> specs`` like
-#: :data:`~repro.cluster.scenarios.FAULT_SCENARIOS`.
+#: :data:`~repro.cluster.chaos.FAULT_SCENARIOS`.
 GEO_FAULTS: dict[str, Callable[[float], tuple[FaultSpec, ...]]] = {
     "zone_outage": lambda d: (
         ZoneOutageFault("east", at=0.25 * d, duration=0.3 * d,
@@ -195,8 +195,8 @@ class GeoSuite:
                 raise ConfigurationError(
                     "unknown geo fault {!r}; available: {}".format(
                         key, ", ".join(sorted(GEO_FAULTS))))
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not 0 < duration < float("inf"):
+            raise ConfigurationError("duration must be positive and finite")
         self.duration = duration
         self.seed = seed
         self.topologies = {

@@ -12,31 +12,33 @@ traces, ground-truth millibottleneck records).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from math import inf
+from numbers import Integral
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.cluster.config import ScaleProfile
-from repro.cluster.faults import FaultInjector, FaultSpec
 from repro.cluster.spec import TopologySpec
 from repro.cluster.topology import NTierSystem, build_from_spec, build_system
-from repro.controlplane import ControlPlaneConfig
-from repro.controlplane.install import install_controlplane
 from repro.core.balancer import BalancerConfig
 from repro.core.remedies import RemedyBundle, get_bundle
-from repro.core.states import StateConfig
 from repro.errors import ConfigurationError
 from repro.metrics.recorder import ResponseTimeRecorder
 from repro.metrics.stats import ResponseTimeStats
 from repro.metrics.timeseries import TimeSeries
 from repro.metrics.windows import PAPER_WINDOW
 from repro.netmodel.tcp import RetransmissionPolicy
-from repro.resilience import ResilienceConfig
 from repro.sim.core import Environment
 from repro.sim.monitor import MonitorHub, Sampler
-from repro.tracing.spans import SpanTracer
 from repro.workload.generator import ClientPopulation
 from repro.workload.mix import WorkloadMix, read_write_mix
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.faults import FaultInjector, FaultSpec
+    from repro.controlplane import ControlPlaneConfig
+    from repro.resilience import ResilienceConfig
+    from repro.tracing.spans import SpanTracer
 
 #: Stream constant separating the fault injector's RNG stream from the
 #: run's main generator: both derive from ``config.seed`` but never
@@ -91,10 +93,16 @@ class ExperimentConfig:
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if self.sample_window <= 0:
-            raise ConfigurationError("sample_window must be positive")
+        for name in ("duration", "sample_window"):
+            value = getattr(self, name)
+            if not 0 < value < inf:
+                raise ConfigurationError(
+                    "{} must be positive and finite, got {!r}".format(
+                        name, value))
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ConfigurationError(
+                "seed must be a non-negative integer, got {!r}".format(
+                    self.seed))
 
     def bundle(self) -> RemedyBundle:
         return get_bundle(self.bundle_key)
@@ -294,6 +302,8 @@ class ExperimentRunner:
             env = Environment()
         tracer = None
         if config.trace_requests:
+            from repro.tracing.spans import SpanTracer
+
             tracer = SpanTracer(env)
             env.tracer = tracer
         rng = np.random.default_rng(config.seed)
@@ -324,10 +334,14 @@ class ExperimentRunner:
             )
 
         if config.controlplane is not None and config.controlplane.enabled:
+            from repro.controlplane.install import install_controlplane
+
             install_controlplane(env, system, config.controlplane)
 
         fault_injector = None
         if config.faults:
+            from repro.cluster.faults import FaultInjector
+
             # The injector gets its own stream off the run seed so the
             # fault timeline is a pure function of (seed, faults) —
             # identical whether the run executes serially or in a pool.

@@ -24,17 +24,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cluster.config import ScaleProfile
-from repro.controlplane.admission import AdmissionConfig
-from repro.controlplane.autoscaler import AutoscalerConfig
-from repro.controlplane.bulkhead import BulkheadConfig
-from repro.controlplane.leveling import LevelingConfig
 from repro.core.policies import PrequalProbeConfig, StickyConfig
 from repro.errors import ConfigurationError
 from repro.netmodel.sockets import LinkProfile
 from repro.osmodel.profiles import MillibottleneckProfile
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.controlplane.admission import AdmissionConfig
+    from repro.controlplane.autoscaler import AutoscalerConfig
+    from repro.controlplane.bulkhead import BulkheadConfig
+    from repro.controlplane.leveling import LevelingConfig
 
 #: The service models a tier can be configured with (see
 #: :mod:`repro.tiers.base`, :mod:`repro.tiers.cache`).
@@ -379,6 +381,10 @@ class TierSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TierSpec":
+        from repro.controlplane.admission import AdmissionConfig
+        from repro.controlplane.autoscaler import AutoscalerConfig
+        from repro.controlplane.bulkhead import BulkheadConfig
+
         data = dict(data) if isinstance(data, dict) else data
         if isinstance(data, dict):
             if isinstance(data.get("flush"), dict):
@@ -507,6 +513,8 @@ class BoundarySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundarySpec":
+        from repro.controlplane.leveling import LevelingConfig
+
         data = dict(data) if isinstance(data, dict) else data
         if isinstance(data, dict):
             for key, config_cls in (("leveling", LevelingConfig),

@@ -44,8 +44,6 @@ from repro.tiers.base import (
     TierServer,
     WorkerTier,
 )
-from repro.tiers.cache import CacheTier
-from repro.tiers.shard import ShardRouter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.controlplane.admission import TokenBucketAdmission
@@ -56,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.hedge import HedgingDispatcher
     from repro.resilience.probes import HealthProber
     from repro.sim.core import Environment
+    from repro.tiers.shard import ShardRouter
 
 #: Seed of the generator the builders fall back to when the caller does
 #: not inject one.  Experiments always inject the config-seeded
@@ -299,6 +298,8 @@ def _worker_factory(env, system, spec, depth, config, state_config, rng,
                 policy_factory, mechanism_factory, resilience,
                 default_bundle))
         if tier.service == "cache":
+            from repro.tiers.cache import CacheTier
+
             cache = tier.effective_cache
             server = CacheTier(
                 env, host.name, host,
@@ -550,6 +551,8 @@ def _make_dispatcher(env, system, owner_name, owner_zone, boundary,
         return _maybe_level(env, system, owner_name, boundary, depth,
                             dispatcher)
     if boundary.mode == "sharded":
+        from repro.tiers.shard import ShardRouter
+
         shard = boundary.effective_shard
         dispatcher = ShardRouter(
             env, owner_name + ".shards", list(downstream),

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.controlplane import ControlPlaneConfig
 from repro.controlplane.admission import TokenBucketAdmission
 from repro.controlplane.autoscaler import ReactiveAutoscaler
 from repro.controlplane.bulkhead import Bulkhead
+from repro.controlplane.bundles import ControlPlaneConfig
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -12,81 +12,26 @@ under millibottlenecks, and the two remedies.
   per-Apache :class:`LoadBalancer` that ties it all together.
 """
 
-from repro.core.balancer import BalancerConfig, DirectDispatcher, LoadBalancer
-from repro.core.mechanism import (
-    DEFAULT_CACHE_ACQUIRE_TIMEOUT,
-    DEFAULT_JK_SLEEP,
-    MECHANISMS,
-    GetEndpointMechanism,
-    ModifiedGetEndpoint,
-    OriginalGetEndpoint,
-    make_mechanism,
-)
-from repro.core.member import DEFAULT_POOL_SIZE, BalancerMember, Endpoint
-from repro.core.policies import (
-    LB_MULT,
-    POLICIES,
-    CurrentLoadPolicy,
-    EwmaLatencyPolicy,
-    JoinIdleQueuePolicy,
-    Policy,
-    PrequalPolicy,
-    PrequalProbeConfig,
-    RandomPolicy,
-    RoundRobinPolicy,
-    StickyConfig,
-    StickySessionPolicy,
-    TotalRequestPolicy,
-    TotalTrafficPolicy,
-    TwoChoicesPolicy,
-    WeightedLeastConnPolicy,
-    make_policy,
-)
-from repro.core.remedies import (
-    BUNDLES,
-    MODERN_BUNDLES,
-    TABLE1_BUNDLES,
-    RemedyBundle,
-    get_bundle,
-)
-from repro.core.states import MemberState, StateConfig
+from repro import lazy_exports
 
-__all__ = [
-    "LoadBalancer",
-    "DirectDispatcher",
-    "BalancerConfig",
-    "BalancerMember",
-    "Endpoint",
-    "MemberState",
-    "StateConfig",
-    "Policy",
-    "TotalRequestPolicy",
-    "TotalTrafficPolicy",
-    "CurrentLoadPolicy",
-    "RoundRobinPolicy",
-    "RandomPolicy",
-    "TwoChoicesPolicy",
-    "EwmaLatencyPolicy",
-    "PrequalPolicy",
-    "PrequalProbeConfig",
-    "JoinIdleQueuePolicy",
-    "WeightedLeastConnPolicy",
-    "StickyConfig",
-    "StickySessionPolicy",
-    "POLICIES",
-    "make_policy",
-    "LB_MULT",
-    "GetEndpointMechanism",
-    "OriginalGetEndpoint",
-    "ModifiedGetEndpoint",
-    "MECHANISMS",
-    "make_mechanism",
-    "DEFAULT_CACHE_ACQUIRE_TIMEOUT",
-    "DEFAULT_JK_SLEEP",
-    "DEFAULT_POOL_SIZE",
-    "RemedyBundle",
-    "TABLE1_BUNDLES",
-    "MODERN_BUNDLES",
-    "BUNDLES",
-    "get_bundle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.balancer": ("LoadBalancer", "DirectDispatcher",
+                            "BalancerConfig"),
+    "repro.core.member": ("BalancerMember", "Endpoint", "DEFAULT_POOL_SIZE"),
+    "repro.core.states": ("MemberState", "StateConfig"),
+    "repro.core.policies": ("Policy", "TotalRequestPolicy",
+                            "TotalTrafficPolicy", "CurrentLoadPolicy",
+                            "RoundRobinPolicy", "RandomPolicy",
+                            "TwoChoicesPolicy", "EwmaLatencyPolicy",
+                            "PrequalPolicy", "PrequalProbeConfig",
+                            "JoinIdleQueuePolicy", "WeightedLeastConnPolicy",
+                            "StickyConfig", "StickySessionPolicy",
+                            "POLICIES", "make_policy", "LB_MULT"),
+    "repro.core.mechanism": ("GetEndpointMechanism", "OriginalGetEndpoint",
+                             "ModifiedGetEndpoint", "MECHANISMS",
+                             "make_mechanism",
+                             "DEFAULT_CACHE_ACQUIRE_TIMEOUT",
+                             "DEFAULT_JK_SLEEP"),
+    "repro.core.remedies": ("RemedyBundle", "TABLE1_BUNDLES",
+                            "MODERN_BUNDLES", "BUNDLES", "get_bundle"),
+})

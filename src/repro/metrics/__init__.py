@@ -6,42 +6,18 @@ response-time distributions, Table-I summary statistics — is built
 from the primitives in this package.
 """
 
-from repro.metrics.distribution import ResponseTimeDistribution
-from repro.metrics.recorder import (
-    CompletedRequest,
-    ResponseTimeRecorder,
-    StreamingResponseTimeRecorder,
-)
-from repro.metrics.stats import (
-    NORMAL_THRESHOLD,
-    VLRT_THRESHOLD,
-    ResponseTimeStats,
-    percentile,
-)
-from repro.metrics.throughput import (
-    goodput_ratio,
-    goodput_series,
-    interval_throughput,
-    throughput_series,
-)
-from repro.metrics.timeseries import TimeSeries
-from repro.metrics.windows import PAPER_WINDOW, BusyTracker, WindowedCounter
+from repro import lazy_exports
 
-__all__ = [
-    "TimeSeries",
-    "WindowedCounter",
-    "BusyTracker",
-    "PAPER_WINDOW",
-    "ResponseTimeStats",
-    "ResponseTimeRecorder",
-    "StreamingResponseTimeRecorder",
-    "CompletedRequest",
-    "ResponseTimeDistribution",
-    "percentile",
-    "throughput_series",
-    "goodput_series",
-    "goodput_ratio",
-    "interval_throughput",
-    "VLRT_THRESHOLD",
-    "NORMAL_THRESHOLD",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metrics.timeseries": ("TimeSeries",),
+    "repro.metrics.windows": ("WindowedCounter", "BusyTracker",
+                              "PAPER_WINDOW"),
+    "repro.metrics.stats": ("ResponseTimeStats", "percentile",
+                            "VLRT_THRESHOLD", "NORMAL_THRESHOLD"),
+    "repro.metrics.recorder": ("ResponseTimeRecorder",
+                               "StreamingResponseTimeRecorder",
+                               "CompletedRequest"),
+    "repro.metrics.distribution": ("ResponseTimeDistribution",),
+    "repro.metrics.throughput": ("throughput_series", "goodput_series",
+                                 "goodput_ratio", "interval_throughput"),
+})

@@ -6,13 +6,9 @@ clients retransmit dropped packets on a timer — turning a
 150-millisecond millibottleneck into multi-second response times.
 """
 
-from repro.netmodel.sockets import Link, ListenSocket
-from repro.netmodel.tcp import GaveUp, RetransmissionPolicy, TcpSender
+from repro import lazy_exports
 
-__all__ = [
-    "ListenSocket",
-    "Link",
-    "TcpSender",
-    "RetransmissionPolicy",
-    "GaveUp",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.netmodel.sockets": ("ListenSocket", "Link"),
+    "repro.netmodel.tcp": ("TcpSender", "RetransmissionPolicy", "GaveUp"),
+})

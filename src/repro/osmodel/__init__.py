@@ -7,31 +7,15 @@ sub-second, full saturation of the host that the paper names a
 *millibottleneck*.
 """
 
-from repro.osmodel.cpu import FOREGROUND_PRIORITY, STALL_PRIORITY, Cpu
-from repro.osmodel.disk import DEFAULT_WRITE_BANDWIDTH, Disk
-from repro.osmodel.host import DEFAULT_CORES, Host
-from repro.osmodel.pagecache import PageCache
-from repro.osmodel.pdflush import FlushDaemon, MillibottleneckRecord
-from repro.osmodel.profiles import MillibottleneckProfile
-from repro.osmodel.sources import (
-    DvfsSource,
-    GarbageCollectionSource,
-    TransientStallInjector,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Host",
-    "Cpu",
-    "Disk",
-    "PageCache",
-    "FlushDaemon",
-    "MillibottleneckRecord",
-    "MillibottleneckProfile",
-    "TransientStallInjector",
-    "GarbageCollectionSource",
-    "DvfsSource",
-    "DEFAULT_CORES",
-    "DEFAULT_WRITE_BANDWIDTH",
-    "STALL_PRIORITY",
-    "FOREGROUND_PRIORITY",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.osmodel.host": ("Host", "DEFAULT_CORES"),
+    "repro.osmodel.cpu": ("Cpu", "STALL_PRIORITY", "FOREGROUND_PRIORITY"),
+    "repro.osmodel.disk": ("Disk", "DEFAULT_WRITE_BANDWIDTH"),
+    "repro.osmodel.pagecache": ("PageCache",),
+    "repro.osmodel.pdflush": ("FlushDaemon", "MillibottleneckRecord"),
+    "repro.osmodel.profiles": ("MillibottleneckProfile",),
+    "repro.osmodel.sources": ("TransientStallInjector",
+                              "GarbageCollectionSource", "DvfsSource"),
+})

@@ -7,40 +7,15 @@ with cancellable requests, item stores, overflow-dropping queues, and
 sampling probes.
 """
 
-from repro.sim.core import NORMAL, URGENT, Environment
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Timeout,
-)
-from repro.sim.monitor import MonitorHub, Sampler, TraceLog
-from repro.sim.process import Process
-from repro.sim.queues import DropQueue, Store
-from repro.sim.resources import Container, PriorityResource, Request, Resource
+from repro import lazy_exports
 
-__all__ = [
-    "Environment",
-    "Event",
-    "Timeout",
-    "Condition",
-    "ConditionValue",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "PriorityResource",
-    "Request",
-    "Container",
-    "Store",
-    "DropQueue",
-    "MonitorHub",
-    "Sampler",
-    "TraceLog",
-    "NORMAL",
-    "URGENT",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.core": ("Environment", "NORMAL", "URGENT"),
+    "repro.sim.events": ("Event", "Timeout", "Condition", "ConditionValue",
+                         "AllOf", "AnyOf", "Interrupt"),
+    "repro.sim.process": ("Process",),
+    "repro.sim.resources": ("Resource", "PriorityResource", "Request",
+                            "Container"),
+    "repro.sim.queues": ("Store", "DropQueue"),
+    "repro.sim.monitor": ("MonitorHub", "Sampler", "TraceLog"),
+})

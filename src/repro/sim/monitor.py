@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.sim.events import Interrupt
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
@@ -63,8 +65,6 @@ class MonitorHub:
             self._process = self.env.process(self._run())
 
     def _run(self):
-        from repro.sim.events import Interrupt
-
         env = self.env
         timeout = env.timeout
         period = self.period
@@ -139,8 +139,6 @@ class Sampler:
             self._process = env.process(self._run())
 
     def _run(self):
-        from repro.sim.events import Interrupt
-
         try:
             while True:
                 self.times.append(self.env.now)

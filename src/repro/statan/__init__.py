@@ -23,37 +23,15 @@ CI gating uses a committed fingerprint baseline
 (``--format sarif``); see :mod:`repro.statan.sarif`.
 """
 
-from repro.statan.engine import (
-    Context,
-    Finding,
-    Result,
-    Rule,
-    Severity,
-    StatanError,
-    check_paths,
-    check_source,
-    render_json,
-    render_text,
-)
-from repro.statan.program import (
-    PROGRAM_RULES,
-    ProgramIndex,
-    ProgramRule,
-    default_program_rules,
-)
-from repro.statan.rules import RULES, default_rules
-from repro.statan.sarif import (
-    load_baseline,
-    render_baseline,
-    render_sarif,
-    write_baseline,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Context", "Finding", "Result", "Rule", "Severity", "StatanError",
-    "check_paths", "check_source", "render_json", "render_text",
-    "RULES", "default_rules",
-    "ProgramIndex", "ProgramRule", "PROGRAM_RULES",
-    "default_program_rules",
-    "render_sarif", "render_baseline", "load_baseline", "write_baseline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.statan.engine": ("Context", "Finding", "Result", "Rule",
+                            "Severity", "StatanError", "check_paths",
+                            "check_source", "render_json", "render_text"),
+    "repro.statan.rules": ("RULES", "default_rules"),
+    "repro.statan.program": ("ProgramIndex", "ProgramRule", "PROGRAM_RULES",
+                             "default_program_rules"),
+    "repro.statan.sarif": ("render_sarif", "render_baseline",
+                           "load_baseline", "write_baseline"),
+})

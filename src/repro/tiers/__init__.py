@@ -7,40 +7,15 @@ The three classic servers — Apache (web), Tomcat (app), MySQL
 directly for arbitrary tier chains.
 """
 
-from repro.tiers.apache import (
-    DEFAULT_ACCESS_LOG_BYTES,
-    DEFAULT_BACKLOG,
-    DEFAULT_MAX_CLIENTS,
-    ApacheServer,
-)
-from repro.tiers.base import (
-    PRE_DB_FRACTION,
-    DispatchDownstream,
-    Dispatcher,
-    FrontendTier,
-    InlineDownstream,
-    PooledTier,
-    TierServer,
-    WorkerTier,
-)
-from repro.tiers.mysql import DEFAULT_MAX_CONNECTIONS, MySqlServer
-from repro.tiers.tomcat import DEFAULT_MAX_THREADS, TomcatServer
+from repro import lazy_exports
 
-__all__ = [
-    "TierServer",
-    "FrontendTier",
-    "WorkerTier",
-    "PooledTier",
-    "InlineDownstream",
-    "DispatchDownstream",
-    "ApacheServer",
-    "TomcatServer",
-    "MySqlServer",
-    "Dispatcher",
-    "DEFAULT_MAX_CLIENTS",
-    "DEFAULT_BACKLOG",
-    "DEFAULT_ACCESS_LOG_BYTES",
-    "DEFAULT_MAX_THREADS",
-    "DEFAULT_MAX_CONNECTIONS",
-    "PRE_DB_FRACTION",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tiers.base": ("TierServer", "FrontendTier", "WorkerTier",
+                         "PooledTier", "InlineDownstream",
+                         "DispatchDownstream", "Dispatcher",
+                         "PRE_DB_FRACTION"),
+    "repro.tiers.apache": ("ApacheServer", "DEFAULT_MAX_CLIENTS",
+                           "DEFAULT_BACKLOG", "DEFAULT_ACCESS_LOG_BYTES"),
+    "repro.tiers.tomcat": ("TomcatServer", "DEFAULT_MAX_THREADS"),
+    "repro.tiers.mysql": ("MySqlServer", "DEFAULT_MAX_CONNECTIONS"),
+})

@@ -20,41 +20,15 @@ line up is visible.  This package records that window *per request*:
   per-request text/JSON reports (``repro-lb trace``).
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-from repro.tracing.critical_path import (
-    BUCKET_OF_SPAN,
-    QUEUE_WAIT_BUCKETS,
-    VLRT_CAUSE_BUCKETS,
-    CriticalPath,
-    bucket_for,
-    decompose,
-    is_vlrt_cause,
-)
-from repro.tracing.explain import VlrtExplanation, explain_vlrt
-from repro.tracing.export import (
-    chrome_trace,
-    trace_report,
-    trace_to_dict,
-    write_chrome_trace,
-)
-from repro.tracing.spans import RequestTrace, Span, SpanTracer
-
-__all__ = [
-    "BUCKET_OF_SPAN",
-    "QUEUE_WAIT_BUCKETS",
-    "VLRT_CAUSE_BUCKETS",
-    "CriticalPath",
-    "RequestTrace",
-    "Span",
-    "SpanTracer",
-    "VlrtExplanation",
-    "bucket_for",
-    "chrome_trace",
-    "decompose",
-    "explain_vlrt",
-    "is_vlrt_cause",
-    "trace_report",
-    "trace_to_dict",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tracing.critical_path": ("BUCKET_OF_SPAN", "QUEUE_WAIT_BUCKETS",
+                                    "VLRT_CAUSE_BUCKETS", "CriticalPath",
+                                    "bucket_for", "decompose",
+                                    "is_vlrt_cause"),
+    "repro.tracing.spans": ("RequestTrace", "Span", "SpanTracer"),
+    "repro.tracing.explain": ("VlrtExplanation", "explain_vlrt"),
+    "repro.tracing.export": ("chrome_trace", "trace_report", "trace_to_dict",
+                             "write_chrome_trace"),
+})

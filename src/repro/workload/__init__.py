@@ -6,36 +6,18 @@ chains, per-user sessions, and closed-loop emulated clients with
 exponential think times.
 """
 
-from repro.workload.aggregate import AggregatedClientPopulation
-from repro.workload.bursty import BurstProfile, OpenLoopGenerator
-from repro.workload.client import DEFAULT_THINK_TIME, Client
-from repro.workload.generator import ClientPopulation
-from repro.workload.interactions import INTERACTIONS, Interaction, get_interaction
-from repro.workload.mix import (
-    BROWSING_ONLY_WEIGHTS,
-    READ_WRITE_WEIGHTS,
-    WorkloadMix,
-    browsing_only_mix,
-    read_write_mix,
-)
-from repro.workload.request import Request
-from repro.workload.session import Session
+from repro import lazy_exports
 
-__all__ = [
-    "Interaction",
-    "INTERACTIONS",
-    "get_interaction",
-    "WorkloadMix",
-    "browsing_only_mix",
-    "read_write_mix",
-    "BROWSING_ONLY_WEIGHTS",
-    "READ_WRITE_WEIGHTS",
-    "Session",
-    "Request",
-    "Client",
-    "BurstProfile",
-    "OpenLoopGenerator",
-    "ClientPopulation",
-    "AggregatedClientPopulation",
-    "DEFAULT_THINK_TIME",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workload.interactions": ("Interaction", "INTERACTIONS",
+                                    "get_interaction", "DEFAULT_THINK_TIME"),
+    "repro.workload.mix": ("WorkloadMix", "browsing_only_mix",
+                           "read_write_mix", "BROWSING_ONLY_WEIGHTS",
+                           "READ_WRITE_WEIGHTS"),
+    "repro.workload.session": ("Session",),
+    "repro.workload.request": ("Request",),
+    "repro.workload.client": ("Client",),
+    "repro.workload.bursty": ("BurstProfile", "OpenLoopGenerator"),
+    "repro.workload.generator": ("ClientPopulation",),
+    "repro.workload.aggregate": ("AggregatedClientPopulation",),
+})

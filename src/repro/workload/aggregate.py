@@ -56,7 +56,8 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import AnalysisError, ConfigurationError
-from repro.workload.client import DEFAULT_THINK_TIME
+from repro.sim.events import Interrupt
+from repro.workload.interactions import DEFAULT_THINK_TIME
 
 #: RNG draws are buffered in chunks this size (refilled on exhaustion).
 RNG_CHUNK = 65536
@@ -232,8 +233,6 @@ class AggregatedClientPopulation:
 
     # -- think/arrival loop ------------------------------------------------
     def _run(self):
-        from repro.sim.events import Interrupt
-
         env = self.env
         tick = self.tick
         try:

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.metrics.recorder import CompletedRequest, ResponseTimeRecorder
 from repro.netmodel.tcp import GaveUp, TcpSender
+from repro.workload.interactions import DEFAULT_THINK_TIME
 from repro.workload.request import Request
 from repro.workload.session import Session
 
@@ -33,9 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.retry import RetryPolicy
     from repro.sim.core import Environment
     from repro.workload.mix import WorkloadMix
-
-#: Mean think time between a response and the next click, seconds.
-DEFAULT_THINK_TIME = 1.0
 
 
 class Client:

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 
+#: Mean think time between a response and the next click, seconds.
+DEFAULT_THINK_TIME = 1.0
+
 
 @dataclass(frozen=True)
 class Interaction:

@@ -76,6 +76,15 @@ class TestSuiteConstruction:
         with pytest.raises(ConfigurationError):
             ChaosSuite(duration=0.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_suites_reject_non_finite_duration(self, duration):
+        from repro.cluster.geo import GeoSuite
+        from repro.cluster.chaos import PolicyRematch
+
+        for suite in (ChaosSuite, GeoSuite, PolicyRematch):
+            with pytest.raises(ConfigurationError, match="finite"):
+                suite(duration=duration)
+
     def test_unknown_remedy_error_lists_both_registries(self):
         """The remedy namespace spans resilience and control-plane
         bundles; a typo's error message must advertise all of them."""

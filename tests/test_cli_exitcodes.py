@@ -154,3 +154,40 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+#: Every subcommand that runs a simulation, with arguments that keep
+#: it at smoke scale should validation ever let a run start.
+SIMULATING_COMMANDS = {
+    "run": ["run", "table1/current_load"],
+    "trace": ["trace", "run/current_load"],
+    "table1": ["table1"],
+    "chaos": ["chaos", "--faults", "none", "--remedies", "none",
+              "--bundles", "current_load_modified"],
+    "geo": ["geo", "--faults", "zone_outage"],
+    "controlplane": ["controlplane"],
+}
+
+
+class TestInvalidRunInputs:
+    """Invalid numbers fail fast: exit 2, one error line, no run."""
+
+    @staticmethod
+    def assert_config_error(code, err, word):
+        assert code == 2
+        assert err.startswith("repro-lb: error:")
+        assert word in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", sorted(SIMULATING_COMMANDS))
+    def test_non_finite_duration_exits_2(self, command, value, capsys):
+        code = main(SIMULATING_COMMANDS[command] + ["--duration", value])
+        self.assert_config_error(code, capsys.readouterr().err,
+                                 "finite")
+
+    @pytest.mark.parametrize("command", sorted(SIMULATING_COMMANDS))
+    def test_negative_seed_exits_2(self, command, capsys):
+        code = main(SIMULATING_COMMANDS[command]
+                    + ["--duration", "1", "--seed", "-1"])
+        self.assert_config_error(code, capsys.readouterr().err, "seed")

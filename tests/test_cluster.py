@@ -1,5 +1,6 @@
 """Unit tests for configuration, topology, scenarios, and the CLI."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -181,6 +182,22 @@ class TestScenarios:
             ExperimentConfig(duration=0)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(sample_window=0)
+
+    @pytest.mark.parametrize("field", ["duration", "sample_window"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_experiment_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_experiment_config_rejects_invalid_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentConfig(seed=seed)
+
+    def test_experiment_config_accepts_numpy_integer_seed(self):
+        assert ExperimentConfig(seed=np.int64(7)).seed == 7
+        assert ExperimentConfig(seed=0).seed == 0
 
 
 class TestCli:

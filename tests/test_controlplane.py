@@ -24,9 +24,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cluster.chaos import fault_specs
 from repro.cluster.config import ScaleProfile
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
-from repro.cluster.scenarios import fault_specs
 from repro.cluster.spec import BoundarySpec, TierSpec, TopologySpec
 from repro.cluster.topology import (
     build_from_spec,

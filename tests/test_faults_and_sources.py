@@ -24,7 +24,7 @@ from repro.osmodel import (
     TransientStallInjector,
 )
 from repro.sim import Environment
-from repro.netmodel import RetransmissionPolicy
+from repro.netmodel import ListenSocket, RetransmissionPolicy
 from repro.workload import ClientPopulation, read_write_mix
 
 
@@ -258,6 +258,29 @@ class TestFaultZoo:
             injector.slow_at(server, at=1.0, duration=1.0, factor=1.0)
         with pytest.raises(ConfigurationError):
             injector.slow_at(server, at=1.0, duration=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_windows_rejected(self, bad):
+        env = Environment()
+        server = self.make_server(env)
+        socket = ListenSocket(env, backlog=4, name="s")
+        injector = FaultInjector(env)
+        windows = [
+            lambda: injector.crash_at(server, at=bad),
+            lambda: injector.crash_at(server, at=1.0, duration=bad),
+            lambda: injector.slow_at(server, at=1.0, duration=bad),
+            lambda: injector.slow_at(server, at=bad, duration=1.0),
+            lambda: injector.impair_socket_at(socket, at=1.0, duration=bad),
+            lambda: injector.impair_socket_at(socket, at=1.0, duration=1.0,
+                                              extra_latency=bad),
+            lambda: injector.recurring(server, duration=bad),
+            lambda: injector.recurring(server, mean_interval=bad),
+        ]
+        for schedule in windows:
+            with pytest.raises(ConfigurationError, match="finite"):
+                schedule()
+        # Nothing was scheduled: the run is still empty.
+        assert env.peek() == float("inf")
 
     def make_full_system(self, env):
         profile = ScaleProfile.smoke()

@@ -5,6 +5,7 @@ pinned headline (does hierarchy contain the millibottleneck?)."""
 import numpy as np
 import pytest
 
+from repro.cluster.chaos import ChaosSuite, fault_specs
 from repro.cluster.faults import (
     FaultInjector,
     WanDegradationFault,
@@ -12,7 +13,6 @@ from repro.cluster.faults import (
 )
 from repro.cluster.geo import GEO_FAULTS, GeoSuite
 from repro.cluster.runner import ExperimentConfig, ExperimentRunner
-from repro.cluster.scenarios import ChaosSuite, fault_specs
 from repro.cluster.spec import (
     BoundarySpec,
     CacheSpec,

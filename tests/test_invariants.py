@@ -27,13 +27,13 @@ and continuously (50 ms sampling) during a millibottleneck run.
 
 import pytest
 
-from repro.cluster.config import ScaleProfile
-from repro.cluster.runner import ExperimentConfig, ExperimentRunner
-from repro.cluster.scenarios import (
+from repro.cluster.chaos import (
     FAULT_SCENARIOS,
     ZONE_FAULT_KEYS,
     fault_specs,
 )
+from repro.cluster.config import ScaleProfile
+from repro.cluster.runner import ExperimentConfig, ExperimentRunner
 from repro.cluster.topology import build_system
 from repro.controlplane import CONTROLPLANE_BUNDLES
 from repro.core.remedies import BUNDLES, get_bundle

@@ -21,9 +21,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cluster.chaos import fault_specs
 from repro.cluster.config import ScaleProfile
 from repro.cluster.runner import ExperimentConfig
-from repro.cluster.scenarios import fault_specs
 from repro.parallel import run_experiments
 
 
